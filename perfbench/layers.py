@@ -47,7 +47,7 @@ LAYERS: tuple[tuple[str, str, str], ...] = (
     ("server.dispatch", "repro.server.app", "DiagnosisApp.dispatch"),
     ("durability.wal_append", "repro.durability.wal", "WriteAheadLog.append"),
     ("durability.snapshot", "repro.durability.journal", "SessionJournal.snapshot_shard"),
-    ("durability.recover", "repro.durability.journal", "SessionJournal.recover"),
+    ("durability.recover_replay", "repro.durability.journal", "SessionJournal.recover"),
 )
 
 #: ``apply_query`` is charged to ``queries.apply`` only where it is called

@@ -3,7 +3,7 @@
 
 Run one workload (the form ``BENCHMARK.json`` names)::
 
-    python3 perfbench/run.py --workload request-mix --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload request-mix --seed 1 --seconds 15 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a separate traced run.  The last line of standard output is one
@@ -32,82 +32,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench-out"
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text()) if (ROOT / "BENCHMARK.json").is_file() else None
 WORKLOAD_NAMES = ("request-mix", "long-history", "batch-bnb", "session-durable")
+#: Python's string hashing is seeded per process, and set iteration order in
+#: the program follows it; the benchmark fixes it so that the same seed makes
+#: the same run (``main`` re-executes itself with this value).
+HASH_SEED = "0"
 
-#: Units of the per-layer metrics, in the order they are reported.
-LAYER_UNITS = {
-    "service.fingerprint_s": "s",
-    "service.response_s": "s",
-    "core.encode_s": "s",
-    "core.encode_calls": "count",
-    "core.windows_per_diagnosis": "count",
-    "core.refine_s": "s",
-    "core.refine_calls": "count",
-    "core.refine_kept_ratio": "ratio",
-    "core.slicing_s": "s",
-    "core.compact_s": "s",
-    "core.compacted_share": "ratio",
-    "core.finalize_s": "s",
-    "milp.presolve_s": "s",
-    "milp.highs_s": "s",
-    "milp.native_s": "s",
-    "milp.native_calls": "count",
-    "milp.decompose_s": "s",
-    "milp.components_per_diagnosis": "count",
-    "milp.bnb.nodes": "count",
-    "milp.bnb.lp_calls": "count",
-    "milp.bnb.lp_skip_ratio": "ratio",
-    "milp.bnb.lp_s": "s",
-    "milp.warm_start_ratio": "ratio",
-    "parallel.busy_share": "ratio",
-    "parallel.worker_s": "s",
-    "queries.replay_s": "s",
-    "queries.replay_calls": "count",
-    "queries.apply_s": "s",
-    "db.snapshot_s": "s",
-    "db.rows_copied_per_append": "count",
-    "sql.parse_s": "s",
-    "server.dispatch_s": "s",
-    "server.transport_ms": "ms",
-    "durability.wal_append_s": "s",
-    "durability.bytes_per_append": "B",
-    "durability.fsyncs": "count",
-    "durability.snapshot_s": "s",
-    "durability.snapshots": "count",
-    "durability.write_amplification": "ratio",
-    "durability.recover_replay_s": "s",
-    "durability.recovered_records": "count",
-    "unattributed_s": "s",
-}
 
-#: Clock layers whose self time is a ``<layer>_s`` metric.
-CLOCK_TIMES = {
-    "service.fingerprint": "service.fingerprint_s",
-    "service.response": "service.response_s",
-    "core.encode": "core.encode_s",
-    "core.refine": "core.refine_s",
-    "core.slicing": "core.slicing_s",
-    "core.compact": "core.compact_s",
-    "core.finalize": "core.finalize_s",
-    "milp.presolve": "milp.presolve_s",
-    "milp.highs": "milp.highs_s",
-    "milp.native": "milp.native_s",
-    "milp.decompose": "milp.decompose_s",
-    "queries.replay": "queries.replay_s",
-    "queries.apply": "queries.apply_s",
-    "db.snapshot": "db.snapshot_s",
-    "sql.parse": "sql.parse_s",
-    "server.dispatch": "server.dispatch_s",
-    "durability.wal_append": "durability.wal_append_s",
-    "durability.snapshot": "durability.snapshot_s",
-    "durability.recover": "durability.recover_replay_s",
-}
+def _spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _missing_program() -> str | None:
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         return f"the program's sources (src/repro) are missing under {ROOT}"
+    if not (ROOT / "BENCHMARK.json").is_file():
+        return f"BENCHMARK.json is missing under {ROOT}"
     return None
 
 
@@ -116,23 +56,18 @@ def _missing_program() -> str | None:
 
 def end_to_end(name: str, run) -> dict[str, tuple[float, str]]:
     import measure
-    from workloads import APPEND_TAIL, DIAGNOSE_TAIL
+    from workloads import DIAGNOSE_TAIL
 
-    append_tail = APPEND_TAIL.get(name, APPEND_TAIL["probe"])
     diagnoses = len(run.diagnose_s)
-    for label, samples, tail in (
-        ("diagnosis", run.diagnose_s, DIAGNOSE_TAIL[name]),
-        ("append", run.append_s, append_tail),
-    ):
-        if len(samples) * (1 - tail / 100) < 10:
-            run.problems.append(f"{len(samples)} {label} samples leave fewer than ten beyond p{tail:g}")
+    tail = DIAGNOSE_TAIL[name]
+    if diagnoses * (1 - tail / 100) < 10:
+        run.problems.append(f"{diagnoses} diagnosis samples leave fewer than ten beyond p{tail:g}")
     return {
         "setup_s": (measure.median(run.setup_s), "s"),
         "diagnoses_per_s": (diagnoses / run.diagnose_busy_s, "1/s"),
         "diagnose_p50_ms": (1000 * measure.percentile(run.diagnose_s, 50), "ms"),
-        "diagnose_tail_ms": (1000 * measure.percentile(run.diagnose_s, DIAGNOSE_TAIL[name]), "ms"),
+        "diagnose_tail_ms": (1000 * measure.percentile(run.diagnose_s, tail), "ms"),
         "append_p50_ms": (1000 * measure.percentile(run.append_s, 50), "ms"),
-        "append_tail_ms": (1000 * measure.percentile(run.append_s, append_tail), "ms"),
         "recover_s": (measure.median(run.recover_s), "s"),
         "store_mb": (run.store_mb, "MB"),
         "repair_f1": (statistics.fmean(run.f1) if run.f1 else 0.0, "ratio"),
@@ -142,6 +77,11 @@ def end_to_end(name: str, run) -> dict[str, tuple[float, str]]:
 
 def per_layer(name: str, run) -> dict[str, tuple[float, str]]:
     """Per-layer metrics of a traced run (see README for each definition)."""
+    from layers import APPLY, LAYERS
+
+    units_of = {metric["name"]: metric["unit"] for metric in _spec()["per_layer"]}
+    #: Every wrapped layer reports its self time as ``<layer>_s``.
+    clock_times = {layer: f"{layer}_s" for layer, _, _ in (*LAYERS, APPLY)}
     clock = run.clock
     extra = run.extra
     summaries = run.summaries
@@ -152,25 +92,29 @@ def per_layer(name: str, run) -> dict[str, tuple[float, str]]:
     def total(key: str) -> float:
         return float(sum(float(s.get(key, 0) or 0) for s in summaries))
 
-    values: dict[str, float] = {metric: 0.0 for metric in LAYER_UNITS}
+    values: dict[str, float] = {metric: 0.0 for metric in units_of}
     self_seconds = dict(clock.self_seconds)
     calls = dict(clock.calls)
     if name == "batch-bnb":
         # The layers run in forked workers: their times come back in each
         # response's summary; the parent's clock sees only the parent side.
+        # Encode and solve seconds cover every window a diagnosis tried; the
+        # ``stats.*`` figures describe the solve of its last window only.
         worker = sum(run.diagnose_s)
         encode = total("encode_seconds")
+        solve = total("solve_seconds")
         presolve = total("stats.presolve_seconds")
         lp = total("stats.lp_seconds")
         self_seconds["core.encode"] = self_seconds.get("core.encode", 0.0) + encode
         self_seconds["milp.presolve"] = self_seconds.get("milp.presolve", 0.0) + presolve
-        values["parallel.worker_s"] = (worker - encode - presolve - lp) / units
+        values["parallel.worker_s"] = (worker - encode - solve) / units
         values["parallel.busy_share"] = worker / (extra["batch_wall_s"] * extra["shards"])
         values["milp.bnb.lp_s"] = lp / units
+        values["milp.bnb.search_s"] = (solve - presolve - lp) / units
         wall = extra["batch_wall_s"] * extra["shards"]
     else:
         wall = run.op_wall_s
-    for layer, metric in CLOCK_TIMES.items():
+    for layer, metric in clock_times.items():
         values[metric] = self_seconds.get(layer, 0.0) / units
     values["core.encode_calls"] = calls.get("core.encode", 0) / units
     values["core.refine_calls"] = calls.get("core.refine", 0) / units
@@ -202,10 +146,11 @@ def per_layer(name: str, run) -> dict[str, tuple[float, str]]:
         written = extra.get("wal_bytes", 0.0) + extra.get("snapshot_bytes", 0.0)
         values["durability.write_amplification"] = written / user_bytes if user_bytes else 0.0
         values["durability.recovered_records"] = extra.get("recovered_records", 0.0)
-    attributed = sum(values[metric] for metric in CLOCK_TIMES.values())
-    attributed += values["parallel.worker_s"] + (values["milp.bnb.lp_s"] if name == "batch-bnb" else 0.0)
+    attributed = sum(values[metric] for metric in clock_times.values())
+    if name == "batch-bnb":
+        attributed += values["parallel.worker_s"] + values["milp.bnb.lp_s"] + values["milp.bnb.search_s"]
     values["unattributed_s"] = wall / units - attributed
-    return {metric: (values[metric], unit) for metric, unit in LAYER_UNITS.items()}
+    return {metric: (values[metric], unit) for metric, unit in units_of.items()}
 
 
 # -- one workload in this process -------------------------------------------------------
@@ -246,6 +191,13 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
             "setups": len(run.setup_s),
             "recoveries": len(run.recover_s),
         },
+        "setup_s": run.setup_s,
+        "recover_s": run.recover_s,
+        "percentiles_ms": {
+            label: {f"p{q}": 1000 * measure.percentile(samples, q) for q in (50, 75, 80, 90, 95, 99)}
+            for label, samples in (("diagnose", run.diagnose_s), ("append", run.append_s))
+            if samples
+        },
         "traced_wall_s": run.op_wall_s,
         "failures": run.failures,
         "problems": run.problems,
@@ -276,9 +228,7 @@ def _subprocess_result(name: str, seed: int, seconds: float, trace: bool) -> dic
 
 
 def _bounds() -> dict[str, float]:
-    if SPEC is None:
-        return {}
-    return {metric["name"]: metric["bound"] for metric in SPEC["end_to_end"]}
+    return {metric["name"]: metric["bound"] for metric in _spec()["end_to_end"]}
 
 
 def repeat_mode(names: list[str], seed: int, seconds: float, runs: int) -> int:
@@ -323,10 +273,12 @@ def repeat_mode(names: list[str], seed: int, seconds: float, runs: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None and os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": HASH_SEED})
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=(*WORKLOAD_NAMES, "all"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", type=int, default=0, help="runs per workload in repeat mode")
     args = parser.parse_args(argv)
